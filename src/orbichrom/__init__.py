@@ -1,10 +1,12 @@
 """Exact chromatic and orbital chromatic polynomials of cycle graphs.
 
 The package computes chromatic polynomials of multigraphs by
-deletion-contraction over exact rational arithmetic, quotients graphs by
-vertex permutations, and averages quotient polynomials over a symmetry
-group to count colorings up to symmetry.  A brute-force enumeration
-oracle provides an independent route to the same numbers.
+deletion-contraction, quotients graphs by vertex permutations, and
+averages quotient polynomials over a symmetry group to count colorings
+up to symmetry.  A brute-force enumeration oracle provides an
+independent route to the same numbers.  Polynomials are exact: integer
+numerators over one common denominator, which stays 1 through
+deletion-contraction and only grows when the Burnside average divides.
 """
 
 from .chroma import (

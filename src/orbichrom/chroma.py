@@ -28,7 +28,7 @@ from .multigraph import (
 )
 from .numtheory import divisors, is_prime, smallest_prime_factor, totient
 from .permgroup import Permutation, PermGroup, is_automorphism
-from .rationalpoly import RationalPoly, x_minus_one_pow
+from .rationalpoly import X, ZERO, RationalPoly, x_minus_one_pow
 
 __all__ = [
     "chromatic_polynomial",
@@ -41,8 +41,6 @@ __all__ = [
     "cycle_index_rotation_at",
     "fermat_check",
 ]
-
-_X = RationalPoly([0, 1])
 
 
 def chromatic_polynomial(g: Multigraph) -> RationalPoly:
@@ -70,13 +68,13 @@ def _chromatic_with_chooser(
 
     def recurse(h: Multigraph) -> RationalPoly:
         if h.has_loop():
-            return RationalPoly.zero()
+            return ZERO
         h = simplify(h)
         found = cache.get(h)
         if found is not None:
             return found
         if not h.edges:
-            result = _X ** h.n
+            result = X ** h.n
         else:
             e = choose_edge(h)
             result = recurse(delete_edge(h, e)) - recurse(contract_edge(h, e))
@@ -98,7 +96,7 @@ def path_chromatic_closed(k_vertices: int) -> RationalPoly:
     """x (x-1)^(k-1): the chromatic polynomial of a path on k vertices."""
     if k_vertices < 1:
         raise ValueError(f"path needs at least one vertex, got {k_vertices}")
-    return _X * x_minus_one_pow(k_vertices - 1)
+    return X * x_minus_one_pow(k_vertices - 1)
 
 
 def quotient_graph(g: Multigraph, perm: Permutation) -> Multigraph:
@@ -130,17 +128,17 @@ def orbital_by_definition(g: Multigraph, group: PermGroup) -> RationalPoly:
     for perm in group:
         if not is_automorphism(g, perm):
             raise ValueError(f"{perm!r} is not an automorphism of {g!r}")
-    total = RationalPoly.zero()
+    total = ZERO
     for perm in group:
         total = total + chromatic_polynomial(quotient_graph(g, perm))
     return total * Fraction(1, group.order())
 
 
-def _totient_weighted_sum(n: int) -> RationalPoly:
-    """Sum over divisors d of n of totient(n/d) * (x-1)^d."""
-    total = RationalPoly.zero()
+def _divisor_sum(n: int, base: RationalPoly) -> RationalPoly:
+    """Sum over divisors d of n of totient(n/d) * base^d."""
+    total = ZERO
     for d in divisors(n):
-        total = total + totient(n // d) * x_minus_one_pow(d)
+        total = total + totient(n // d) * base ** d
     return total
 
 
@@ -152,7 +150,7 @@ def orbital_rotation_closed(n: int) -> RationalPoly:
     """
     if n < 1:
         raise ValueError(f"cycle length must be >= 1, got {n}")
-    result = _totient_weighted_sum(n) * Fraction(1, n)
+    result = _divisor_sum(n, x_minus_one_pow(1)) * Fraction(1, n)
     if n % 2:
         result = result - x_minus_one_pow(1)
     return result
@@ -166,11 +164,11 @@ def orbital_full_closed(n: int) -> RationalPoly:
     """
     if n < 1:
         raise ValueError(f"cycle length must be >= 1, got {n}")
-    result = _totient_weighted_sum(n) * Fraction(1, 2 * n)
+    result = _divisor_sum(n, x_minus_one_pow(1)) * Fraction(1, 2 * n)
     if n % 2:
         result = result - Fraction(1, 2) * x_minus_one_pow(1)
     else:
-        result = result + Fraction(1, 4) * _X * x_minus_one_pow(n // 2)
+        result = result + Fraction(1, 4) * X * x_minus_one_pow(n // 2)
     return result
 
 
@@ -183,10 +181,7 @@ def cycle_index_rotation_at(n: int, x: RationalPoly) -> RationalPoly:
     """
     if n < 1:
         raise ValueError(f"cycle index needs n >= 1, got {n}")
-    total = RationalPoly.zero()
-    for d in divisors(n):
-        total = total + totient(n // d) * (x ** d)
-    return total * Fraction(1, n)
+    return _divisor_sum(n, x) * Fraction(1, n)
 
 
 def fermat_check(p: int, lambda_max: int) -> bool:

@@ -21,6 +21,7 @@ import json
 import sys
 from fractions import Fraction
 from io import StringIO
+from math import gcd
 from typing import Callable
 
 from .chroma import (
@@ -42,7 +43,6 @@ from .multigraph import (
 from .numtheory import (
     alternating_totient_sum,
     divisors,
-    gcd,
     is_prime,
     smallest_prime_factor,
     totient,
@@ -56,7 +56,7 @@ from .permgroup import (
     rotation,
     rotation_group,
 )
-from .rationalpoly import RationalPoly, x_minus_one_pow
+from .rationalpoly import X, RationalPoly, poly_to_json_dict, x_minus_one_pow
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -102,15 +102,6 @@ def _int_poly_text(coeffs: list[int], var: str) -> str:
         else:
             parts.append(f" {sign} {term}")
     return "".join(parts)
-
-
-def poly_to_json_dict(p: RationalPoly) -> dict:
-    den, ints = p.to_den_coeffs()
-    return {"den": den, "coeffs": ints}
-
-
-def poly_from_json_dict(data: dict) -> RationalPoly:
-    return RationalPoly.from_den_coeffs(data["den"], data["coeffs"])
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +251,7 @@ def _suite_cycle_index(max_n: int, max_lambda: int) -> tuple[bool, str]:
         if n % 2:
             full = half * z - half * x_minus_one_pow(1)
         else:
-            full = half * z + Fraction(1, 4) * RationalPoly([0, 1]) * x_minus_one_pow(n // 2)
+            full = half * z + Fraction(1, 4) * X * x_minus_one_pow(n // 2)
         if full != orbital_full_closed(n):
             return False, f"full-group restatement fails at n={n}"
     return True, f"all four restatements hold for n=1..{max_n}"

@@ -14,7 +14,6 @@ to isomorphism.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -293,8 +292,3 @@ def parse_graph_text(text: str) -> Multigraph:
 
 def graph_to_text(g: Multigraph) -> str:
     return json.dumps({"vertices": g.n, "edges": [[u, v] for u, v in g.edges]})
-
-
-def edge_multiset(g: Multigraph) -> Counter:
-    """Edge multiset as a Counter; handy for multiset-level assertions."""
-    return Counter(g.edges)

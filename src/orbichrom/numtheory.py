@@ -3,10 +3,9 @@ divisor sums that feed the closed-form orbit-counting polynomials."""
 
 from __future__ import annotations
 
-from math import gcd, isqrt
+from math import isqrt
 
 __all__ = [
-    "gcd",
     "totient",
     "divisors",
     "alternating_totient_sum",

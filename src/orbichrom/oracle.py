@@ -37,9 +37,12 @@ def max_oracle_vertices() -> int:
     if raw is None:
         return _DEFAULT_MAX_VERTICES
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
-        raise ValueError(f"{_ENV_VAR} must be an integer, got {raw!r}") from None
+        cap = 0  # reported below, like any cap under 1
+    if cap < 1:
+        raise ValueError(f"{_ENV_VAR} must be a positive integer, got {raw!r}")
+    return cap
 
 
 def _check_capacity(g: Multigraph) -> None:

@@ -30,9 +30,7 @@ from orbichrom.permgroup import (
     rotation,
     rotation_group,
 )
-from orbichrom.rationalpoly import RationalPoly, x_minus_one_pow
-
-X = RationalPoly([0, 1])
+from orbichrom.rationalpoly import X, RationalPoly, x_minus_one_pow
 
 # Published factored forms of the two closed-form families for n = 1..10.
 # Each entry: common denominator, then the factors as ascending
@@ -209,6 +207,37 @@ def test_cycle_index_restatements(capfd):
                 assert orbital_full_closed(n) == half * z + Fraction(1, 4) * X * x_minus_one_pow(n // 2)
 
     timed(capfd, "cycle-index-restatements", 1.0, body)
+
+
+def burnside_count_even_cycle(n: int, lam: int, with_reflections: bool) -> int:
+    """Proper lam-colorings of C_n (n even) up to symmetry, by Burnside's
+    lemma in plain integers.  Rotation by m fixes the colorings of the
+    quotient cycle on gcd(n, m) vertices.  Of the n reflections, n/2 fix
+    two opposite vertices and leave a path on n/2 + 1 vertices; the
+    other n/2 swap the ends of two edges, which makes loops."""
+    fixed = [(lam - 1) ** k + (-1) ** k * (lam - 1) for k in (math.gcd(n, m) for m in range(n))]
+    if with_reflections:
+        fixed += [lam * (lam - 1) ** (n // 2)] * (n // 2) + [0] * (n // 2)
+    total = sum(fixed)
+    assert total % len(fixed) == 0
+    return total // len(fixed)
+
+
+def test_closed_forms_at_large_n(capfd):
+    def body():
+        n = 5040
+        for closed, den, with_reflections in (
+            (orbital_rotation_closed, n, False),
+            (orbital_full_closed, 2 * n, True),
+        ):
+            p = closed(n)
+            assert p.to_den_coeffs()[0] == den
+            assert p.degree() == n
+            assert p.leading_coefficient() == Fraction(1, den)
+            for lam in (2, 3):
+                assert p(lam) == burnside_count_even_cycle(n, lam, with_reflections)
+
+    timed(capfd, "closed-form-large", 10.0, body)
 
 
 def random_multigraph(rng: random.Random) -> Multigraph:

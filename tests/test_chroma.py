@@ -1,5 +1,6 @@
 """Chromatic and orbital chromatic polynomials: closed forms vs recursion."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -39,11 +40,9 @@ from orbichrom.permgroup import (
     rotation_group,
     trivial_group,
 )
-from orbichrom.rationalpoly import ONE, RationalPoly, x_minus_one_pow
+from orbichrom.rationalpoly import ONE, X, RationalPoly, x_minus_one_pow
 
 from conftest import multigraphs
-
-X = RationalPoly([0, 1])
 
 
 class TestChromaticPolynomial:
@@ -219,6 +218,33 @@ class TestOrbitalPolynomials:
             value = p(lam)
             assert value.denominator == 1
             assert value >= 0
+
+    @pytest.mark.parametrize("n", [359, 360, 719, 720])
+    def test_closed_forms_match_integer_divisor_sum(self, n):
+        # S = sum over d | n of totient(n/d) (x-1)^d in plain integers,
+        # with binomials from math.comb and brute-force totients.
+        def phi(m):
+            return sum(1 for k in range(1, m + 1) if math.gcd(k, m) == 1)
+
+        s = [0] * (n + 1)
+        for d in (d for d in range(1, n + 1) if n % d == 0):
+            weight = phi(n // d)
+            for i in range(d + 1):
+                s[i] += weight * (-1) ** (d - i) * math.comb(d, i)
+
+        # The rotation form times n, and the full form times full_den.
+        rot = list(s)
+        if n % 2:
+            rot[0] += n
+            rot[1] -= n
+            full, full_den = list(rot), 2 * n
+        else:
+            full, full_den = [2 * c for c in s], 4 * n
+            half = n // 2
+            for i in range(half + 1):
+                full[i + 1] += n * (-1) ** (half - i) * math.comb(half, i)
+        assert orbital_rotation_closed(n).coeffs == tuple(Fraction(c, n) for c in rot)
+        assert orbital_full_closed(n).coeffs == tuple(Fraction(c, full_den) for c in full)
 
     def test_full_group_never_exceeds_rotation_count(self):
         for n in range(1, 11):

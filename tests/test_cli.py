@@ -7,9 +7,9 @@ import json
 import pytest
 
 from orbichrom.chroma import chromatic_polynomial, orbital_full_closed, orbital_rotation_closed
-from orbichrom.cli import format_poly, main, poly_from_json_dict
+from orbichrom.cli import format_poly, main
 from orbichrom.multigraph import cycle_graph, graph_to_text
-from orbichrom.rationalpoly import RationalPoly, ZERO
+from orbichrom.rationalpoly import ZERO, RationalPoly, poly_from_json_dict
 
 
 def run(args, capsys):
@@ -126,6 +126,14 @@ class TestOrbitalCommand:
         code, _, err = run(["orbital", "5", "--method", "oracle", "--lam", "2"], capsys)
         assert code == 4
         assert "capped" in err
+
+    @pytest.mark.parametrize("raw", ["0", "-1", "plenty"])
+    def test_bad_oracle_cap_exits_2(self, capsys, monkeypatch, raw):
+        monkeypatch.setenv("ORBICHROM_MAX_ORACLE_VERTICES", raw)
+        code, out, err = run(["orbital", "3", "--method", "oracle", "--lam", "2"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "ORBICHROM_MAX_ORACLE_VERTICES" in err
 
 
 class TestTableCommand:

@@ -9,18 +9,10 @@ from hypothesis import strategies as st
 from orbichrom.numtheory import (
     alternating_totient_sum,
     divisors,
-    gcd,
     is_prime,
     smallest_prime_factor,
     totient,
 )
-
-
-def test_gcd_conventions():
-    assert gcd(6, 4) == 2
-    assert gcd(12, 8) == 4
-    assert gcd(7, 0) == 7
-    assert gcd(0, 0) == 0
 
 
 def brute_totient(n: int) -> int:

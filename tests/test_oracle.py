@@ -163,6 +163,14 @@ class TestCapacityGuard:
         with pytest.raises(ValueError):
             max_oracle_vertices()
 
+    @pytest.mark.parametrize("raw", ["0", "-3"])
+    def test_env_var_must_be_positive(self, monkeypatch, raw):
+        monkeypatch.setenv("ORBICHROM_MAX_ORACLE_VERTICES", raw)
+        with pytest.raises(ValueError, match="positive integer"):
+            max_oracle_vertices()
+        with pytest.raises(ValueError):
+            count_proper_colorings(Multigraph(0), 1)
+
     def test_guard_applies_to_all_three_counters(self, monkeypatch):
         monkeypatch.setenv("ORBICHROM_MAX_ORACLE_VERTICES", "2")
         g = cycle_graph(3)

@@ -1,6 +1,7 @@
 """Exact rational polynomial arithmetic: ring axioms, evaluation, encoding."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from orbichrom.rationalpoly import ONE, X, ZERO, RationalPoly, x_minus_one_pow
+
+from fraction_poly_ref import FractionPoly
 
 fractions_st = st.fractions(
     min_value=-9, max_value=9, max_denominator=6
@@ -154,3 +157,85 @@ class TestSerialization:
     def test_rejects_nonpositive_denominator(self):
         with pytest.raises(ValueError):
             RationalPoly.from_den_coeffs(0, [1])
+
+
+# The integer-numerator core against the plain Fraction-tuple reference.
+coeff_lists_st = st.lists(fractions_st, min_size=0, max_size=9)
+two_term_st = st.tuples(fractions_st, fractions_st.filter(bool)).map(list)
+scalars_st = st.one_of(st.integers(min_value=-12, max_value=12), fractions_st)
+
+
+def same(p: RationalPoly, ref: FractionPoly) -> bool:
+    """Same coefficients and the same wire encoding."""
+    return p.coeffs == ref.coeffs and p.to_den_coeffs() == ref.to_den_coeffs()
+
+
+class TestAgainstFractionReference:
+    @given(coeff_lists_st)
+    def test_construction_and_encoding(self, cs):
+        assert same(RationalPoly(cs), FractionPoly(cs))
+
+    @given(coeff_lists_st, coeff_lists_st)
+    def test_add_sub_neg(self, cs, ds):
+        p, q = RationalPoly(cs), RationalPoly(ds)
+        rp, rq = FractionPoly(cs), FractionPoly(ds)
+        assert same(p + q, rp + rq)
+        assert same(p - q, rp - rq)
+        assert same(-p, -rp)
+
+    @given(coeff_lists_st, coeff_lists_st)
+    def test_mul(self, cs, ds):
+        assert same(RationalPoly(cs) * RationalPoly(ds), FractionPoly(cs) * FractionPoly(ds))
+
+    @given(coeff_lists_st, scalars_st)
+    def test_scalar_mul_and_add(self, cs, c):
+        p, rp = RationalPoly(cs), FractionPoly(cs)
+        assert same(p * c, rp * c)
+        assert same(c * p, rp * c)
+        assert same(p + c, rp + FractionPoly([c]))
+        assert same(c - p, FractionPoly([c]) - rp)
+
+    @given(st.one_of(coeff_lists_st, two_term_st), st.integers(min_value=0, max_value=6))
+    def test_pow(self, cs, k):
+        assert same(RationalPoly(cs) ** k, FractionPoly(cs) ** k)
+
+    @given(two_term_st, st.integers(min_value=0, max_value=40))
+    def test_binomial_pow_of_two_term_bases(self, cs, k):
+        assert same(RationalPoly(cs) ** k, FractionPoly(cs) ** k)
+
+    @given(coeff_lists_st, points_st)
+    def test_eval(self, cs, x):
+        value = RationalPoly(cs)(x)
+        assert isinstance(value, Fraction)
+        assert value == FractionPoly(cs)(x)
+
+    @given(coeff_lists_st, coeff_lists_st, st.booleans())
+    def test_equality_and_hash(self, cs, ds, padded_copy):
+        if padded_copy:
+            ds = cs + [Fraction(0)] * 2
+        p, q = RationalPoly(cs), RationalPoly(ds)
+        equal = FractionPoly(cs) == FractionPoly(ds)
+        assert (p == q) is equal
+        if equal:
+            assert hash(p) == hash(q)
+
+    @given(coeff_lists_st, st.integers(min_value=1, max_value=30))
+    def test_from_den_coeffs_reduces_any_denominator(self, cs, den):
+        ints = [int(c * den * 720) for c in cs]
+        expected = FractionPoly([Fraction(c, den * 720) for c in ints])
+        assert same(RationalPoly.from_den_coeffs(den * 720, ints), expected)
+
+    def test_sympy_cross_check(self):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        rng = random.Random(7)
+        for _ in range(20):
+            cs = [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(rng.randint(1, 6))]
+            ds = [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(rng.randint(1, 6))]
+            k = rng.randint(0, 5)
+            got = RationalPoly(cs) ** k * RationalPoly(ds)
+            expected = sympy.Poly(sum(sympy.Rational(c.numerator, c.denominator) * x ** i
+                                      for i, c in enumerate(cs)), x) ** k * sympy.Poly(
+                sum(sympy.Rational(c.numerator, c.denominator) * x ** i for i, c in enumerate(ds)), x)
+            want = [Fraction(int(c.p), int(c.q)) for c in reversed(expected.all_coeffs())]
+            assert got == RationalPoly(want)
