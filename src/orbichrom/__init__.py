@@ -24,7 +24,9 @@ from .multigraph import (
     GraphParseError,
     Multigraph,
     ShapeDescriptor,
+    blocks,
     classify_shape,
+    components,
     contract_edge,
     contract_partition,
     cycle_graph,
@@ -77,8 +79,10 @@ __all__ = [
     "__version__",
     "alternating_totient_sum",
     "automorphism_group",
+    "blocks",
     "chromatic_polynomial",
     "classify_shape",
+    "components",
     "contract_edge",
     "contract_partition",
     "count_coloring_orbits",

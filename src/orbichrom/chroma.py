@@ -1,12 +1,19 @@
 """Chromatic and orbital chromatic polynomials, exactly.
 
-The chromatic polynomial is computed by the classical deletion plus
-contraction recursion over exact integer coefficients.  The orbital
-chromatic polynomial of a graph relative to a group of its automorphisms
-averages, over the group, the chromatic polynomials of the quotient
-graphs obtained by collapsing each cycle of an element's disjoint cycle
-decomposition; at positive integer arguments it counts proper colorings
-up to symmetry.
+The chromatic polynomial is computed by deletion and contraction over
+exact integer coefficients, run on an explicit stack rather than by
+Python recursion.  Each piece is factorised first, in the style of
+Haggard, Pearce and Royle ("Computing Tutte polynomials", 2010):
+connected components multiply, a graph with a cut vertex is the product
+of its blocks divided by x for each extra block, and a tree on n
+vertices closes at once as x(x-1)^(n-1); only what is left, a block on
+three or more vertices, is split by deleting and contracting an edge.
+
+The orbital chromatic polynomial of a graph relative to a group of its
+automorphisms averages, over the group, the chromatic polynomials of the
+quotient graphs obtained by collapsing each cycle of an element's
+disjoint cycle decomposition; at positive integer arguments it counts
+proper colorings up to symmetry.
 
 For cycle graphs the module also provides the closed forms: the familiar
 (x-1)^n + (-1)^n (x-1) for the plain chromatic polynomial, and
@@ -21,6 +28,8 @@ from typing import Callable
 
 from .multigraph import (
     Multigraph,
+    blocks,
+    components,
     contract_edge,
     contract_partition,
     delete_edge,
@@ -28,7 +37,7 @@ from .multigraph import (
 )
 from .numtheory import divisors, is_prime, smallest_prime_factor, totient
 from .permgroup import Permutation, PermGroup, is_automorphism
-from .rationalpoly import X, ZERO, RationalPoly, x_minus_one_pow
+from .rationalpoly import ONE, X, ZERO, RationalPoly, x_minus_one_pow
 
 __all__ = [
     "chromatic_polynomial",
@@ -44,13 +53,18 @@ __all__ = [
 
 
 def chromatic_polynomial(g: Multigraph) -> RationalPoly:
-    """Chromatic polynomial of a multigraph by deletion-contraction.
+    """Chromatic polynomial of a multigraph by factorising deletion-contraction.
 
     Any loop kills the polynomial; parallel edges are collapsed at every
     step since they impose the same constraint as a single edge.  The
-    recursion branches on the lexicographically smallest edge, which
-    makes the computation deterministic (the result is provably
-    order-independent, and the tests also check that).
+    graph is split into connected components and each of those into
+    blocks, whose polynomials multiply (divided by x once per shared cut
+    vertex); a tree closes at once as x(x-1)^(n-1).  Only a block on
+    three or more vertices is deleted and contracted, on its
+    lexicographically smallest edge.  The result does not depend on that
+    choice, and the tests check it.  The engine runs on an explicit
+    stack, so its depth is bounded by memory rather than by Python's
+    recursion limit.
     """
     return _chromatic_with_chooser(g, _smallest_edge)
 
@@ -59,29 +73,74 @@ def _smallest_edge(g: Multigraph) -> tuple[int, int]:
     return g.edges[0]
 
 
+# Tasks on the engine's stack.  A task pushes its value onto the value
+# stack, or schedules its parts and a combining task that pops their
+# values; the parts run first, so their values lie on top when it does.
+_CONNECTED = 0  # (_CONNECTED, connected multigraph without loops or parallels)
+_PRODUCT = 1  # (_PRODUCT, parts, power of x to divide out, cache key or None)
+_DIFFERENCE = 2  # (_DIFFERENCE, cache key): value under deletion minus value under contraction
+
+
 def _chromatic_with_chooser(
     g: Multigraph, choose_edge: Callable[[Multigraph], tuple[int, int]]
 ) -> RationalPoly:
-    # The cache lives for one top-level call; repeated labeled subgraphs
-    # dominate the recursion on path- and cycle-like inputs.
+    if g.has_loop():
+        return ZERO
+    parts = components(simplify(g))
+    tasks: list[tuple] = [(_PRODUCT, len(parts), 0, None)]
+    tasks.extend((_CONNECTED, part) for part in parts)
+    # The cache is keyed on relabeled connected pieces and lives for one
+    # top-level call; trees are keyed on their vertex count alone.
     cache: dict[Multigraph, RationalPoly] = {}
-
-    def recurse(h: Multigraph) -> RationalPoly:
-        if h.has_loop():
-            return ZERO
-        h = simplify(h)
-        found = cache.get(h)
-        if found is not None:
-            return found
-        if not h.edges:
-            result = X ** h.n
+    trees: dict[int, RationalPoly] = {}
+    values: list[RationalPoly] = []
+    while tasks:
+        task = tasks.pop()
+        kind = task[0]
+        if kind == _CONNECTED:
+            h = task[1]
+            n = h.n
+            if len(h.edges) == n - 1:
+                tree = trees.get(n)
+                if tree is None:
+                    tree = trees[n] = X * x_minus_one_pow(n - 1)
+                values.append(tree)
+                continue
+            found = cache.get(h)
+            if found is not None:
+                values.append(found)
+                continue
+            pieces = blocks(h)
+            if len(pieces) > 1:
+                tasks.append((_PRODUCT, len(pieces), len(pieces) - 1, h))
+                tasks.extend((_CONNECTED, piece) for piece in pieces)
+            else:
+                # h is 2-connected on three or more vertices, so it has no
+                # bridge: deleting an edge leaves it connected, and so does
+                # contracting one, which cannot make a loop.
+                e = choose_edge(h)
+                tasks.append((_DIFFERENCE, h))
+                tasks.append((_CONNECTED, simplify(contract_edge(h, e))))
+                tasks.append((_CONNECTED, simplify(delete_edge(h, e))))
+        elif kind == _PRODUCT:
+            _, count, shift, key = task
+            result = ONE
+            for _ in range(count):
+                result = result * values.pop()
+            if shift:
+                # Each block's polynomial has the factor x, so the low
+                # coefficients dropped here are zero.
+                den, nums = result.to_den_coeffs()
+                result = RationalPoly.from_den_coeffs(den, nums[shift:])
+            if key is not None:
+                cache[key] = result
+            values.append(result)
         else:
-            e = choose_edge(h)
-            result = recurse(delete_edge(h, e)) - recurse(contract_edge(h, e))
-        cache[h] = result
-        return result
-
-    return recurse(g)
+            contracted = values.pop()
+            result = values.pop() - contracted
+            cache[task[1]] = result
+            values.append(result)
+    return values.pop()
 
 
 def cycle_chromatic_closed(n: int) -> RationalPoly:

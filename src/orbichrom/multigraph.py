@@ -6,9 +6,9 @@ they have the same vertex count and the same edge multiset.
 
 Besides the data type this module provides the constructions the rest of
 the package builds on: cycle graphs, parallel-edge collapse, partition
-contraction, single-edge deletion/contraction, and a tiny shape
-classifier that recognizes cycles and paths (with optional end loops) up
-to isomorphism.
+contraction, single-edge deletion/contraction, the split into connected
+components and into blocks, and a tiny shape classifier that recognizes
+cycles and paths (with optional end loops) up to isomorphism.
 """
 
 from __future__ import annotations
@@ -29,6 +29,8 @@ __all__ = [
     "contract_partition",
     "delete_edge",
     "contract_edge",
+    "components",
+    "blocks",
     "classify_shape",
     "parse_graph_text",
     "graph_to_text",
@@ -144,9 +146,13 @@ def simplify(g: Multigraph) -> Multigraph:
 
     Loops are parallel to each other, so at most one loop survives per
     vertex; it is kept rather than dropped because a loop forces the
-    chromatic polynomial to vanish and must stay visible.
+    chromatic polynomial to vanish and must stay visible.  A graph that
+    is already simple comes back as itself.
     """
-    return Multigraph(g.n, sorted(set(g.edges)))
+    distinct = set(g.edges)
+    if len(distinct) == len(g.edges):
+        return g
+    return Multigraph(g.n, sorted(distinct))
 
 
 def contract_partition(g: Multigraph, blocks: Iterable[Iterable[int]]) -> Multigraph:
@@ -204,6 +210,113 @@ def contract_edge(g: Multigraph, e: Sequence[int]) -> Multigraph:
     return contract_partition(Multigraph(g.n, remaining), blocks)
 
 
+def _relabel(vertices: Sequence[int], edges: Iterable[Edge]) -> Multigraph:
+    """The subgraph on the given ascending vertices, relabeled 0..k-1 in order."""
+    label = {v: i for i, v in enumerate(vertices)}
+    return Multigraph(len(vertices), [(label[u], label[v]) for u, v in edges])
+
+
+def components(g: Multigraph) -> list[Multigraph]:
+    """The connected components of g, ordered by their smallest vertex.
+
+    Each component keeps its loops and parallel edges and is relabeled
+    0..k-1 in the order of its original vertices; an isolated vertex is
+    Multigraph(1).  A connected g comes back as itself.
+    """
+    n = g.n
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in g.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    comp = [-1] * n
+    members: list[list[int]] = []
+    for root in range(n):
+        if comp[root] >= 0:
+            continue
+        c = len(members)
+        comp[root] = c
+        seen = [root]
+        for u in seen:  # the list grows while it is walked: a breadth-first search
+            for w in adj[u]:
+                if comp[w] < 0:
+                    comp[w] = c
+                    seen.append(w)
+        members.append(seen)
+    if len(members) == 1:
+        return [g]
+    edges: list[list[Edge]] = [[] for _ in members]
+    for e in g.edges:
+        edges[comp[e[0]]].append(e)
+    return [_relabel(sorted(vs), es) for vs, es in zip(members, edges)]
+
+
+def blocks(g: Multigraph) -> list[Multigraph]:
+    """The blocks of g: its maximal subgraphs without a cut vertex.
+
+    Every edge lies in exactly one block; a bridge is a block of one
+    edge, a loop a block of one looped vertex, and parallel edges stay
+    together.  Isolated vertices lie in no block.  Each block is
+    relabeled 0..k-1 in the order of its original vertices; a g that is
+    one block on all its vertices comes back as itself.  The blocks come
+    from one iterative pass of Tarjan's depth-first search, which pops a
+    block off an edge stack whenever a vertex's subtree cannot reach
+    above its parent.
+    """
+    n = g.n
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    found: list[list[Edge]] = []
+    for i, (u, v) in enumerate(g.edges):
+        if u == v:
+            found.append([(u, v)])
+        else:
+            adj[u].append((v, i))
+            adj[v].append((u, i))
+    disc = [-1] * n
+    low = [0] * n
+    clock = 0
+    edge_stack: list[int] = []
+    for root in range(n):
+        if disc[root] >= 0:
+            continue
+        disc[root] = low[root] = clock
+        clock += 1
+        # frames: (vertex, index of the edge it was entered by, its neighbours)
+        dfs = [(root, -1, iter(adj[root]))]
+        while dfs:
+            v, via, nbrs = dfs[-1]
+            for w, i in nbrs:
+                if i == via:
+                    continue
+                if disc[w] < 0:
+                    disc[w] = low[w] = clock
+                    clock += 1
+                    edge_stack.append(i)
+                    dfs.append((w, i, iter(adj[w])))
+                    break
+                if disc[w] < disc[v]:  # a back edge from v up to its ancestor w
+                    edge_stack.append(i)
+                    if disc[w] < low[v]:
+                        low[v] = disc[w]
+            else:
+                dfs.pop()
+                if not dfs:
+                    continue
+                u = dfs[-1][0]
+                if low[v] < low[u]:
+                    low[u] = low[v]
+                if low[v] >= disc[u]:
+                    block = []
+                    while True:
+                        i = edge_stack.pop()
+                        block.append(g.edges[i])
+                        if i == via:
+                            break
+                    found.append(block)
+    if len(found) == 1 and len({x for e in found[0] for x in e}) == n:
+        return [g]
+    return [_relabel(sorted({x for e in block for x in e}), block) for block in found]
+
+
 def classify_shape(g: Multigraph) -> ShapeDescriptor:
     """Recognize g, up to isomorphism, as a cycle or a loop-decorated path.
 
@@ -224,14 +337,13 @@ def classify_shape(g: Multigraph) -> ShapeDescriptor:
     if n == 1:
         return ShapeDescriptor.cycle(1) if loops else ShapeDescriptor.path(0)
 
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in plain:
-        adj[u].append(v)
-        adj[v].append(u)
-    if not _connected(n, adj):
+    if len(components(h)) != 1:
         return ShapeDescriptor.other()
 
-    degrees = [len(nbrs) for nbrs in adj]
+    degrees = [0] * n
+    for u, v in plain:
+        degrees[u] += 1
+        degrees[v] += 1
     if n >= 3 and len(plain) == n and all(d == 2 for d in degrees):
         return ShapeDescriptor.other() if loops else ShapeDescriptor.cycle(n)
     if len(plain) == n - 1:
@@ -241,18 +353,6 @@ def classify_shape(g: Multigraph) -> ShapeDescriptor:
                 return ShapeDescriptor.other()
             return ShapeDescriptor.path(n - 1, (ends[0] in loops, ends[1] in loops))
     return ShapeDescriptor.other()
-
-
-def _connected(n: int, adj: list[list[int]]) -> bool:
-    seen = {0}
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for w in adj[u]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == n
 
 
 # Interchange format: a JSON object with an integer "vertices" field and

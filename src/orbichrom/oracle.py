@@ -114,11 +114,11 @@ def count_coloring_orbits(g: Multigraph, group: PermGroup, lam: int) -> int:
             raise ValueError(f"{perm!r} is not an automorphism of {g!r}")
     _check_capacity(g)
     edges = _constraints(g)
-    proper = [
+    proper = (
         coloring
         for coloring in product(range(lam), repeat=g.n)
         if all(coloring[u] != coloring[v] for u, v in edges)
-    ]
+    )
     images = [perm.images for perm in group]
     seen: set[tuple[int, ...]] = set()
     orbits = 0

@@ -2,8 +2,9 @@
 
 Groups are stored as explicit element lists: every group here has at
 most 2n elements and the orbit-averaging definition iterates over all of
-them anyway.  Construction verifies the group axioms outright, which is
-cheap at this scale and catches constructor mistakes immediately.
+them anyway.  Construction verifies the group axioms outright, from a
+few generators picked out of the list, which is cheap at this scale and
+catches constructor mistakes immediately.
 """
 
 from __future__ import annotations
@@ -122,18 +123,15 @@ class PermGroup:
         degree = elems[0].degree
         if any(g.degree != degree for g in elems):
             raise ValueError("all group elements must share one degree")
-        index = set(elems)
+        index = frozenset(elems)
         if len(index) != len(elems):
             raise ValueError("group elements must be distinct")
-        if Permutation.identity(degree) not in index:
+        identity = Permutation.identity(degree)
+        if identity not in index:
             raise ValueError("group does not contain the identity")
-        for g in elems:
-            if g.inverse() not in index:
-                raise ValueError(f"group is missing the inverse of {g!r}")
-            for h in elems:
-                if g * h not in index:
-                    raise ValueError(f"group is not closed: {g!r} * {h!r} escapes")
+        _check_generated(elems, index, identity)
         self._elements = elems
+        self._index = index
         self._degree = degree
 
     @property
@@ -154,10 +152,43 @@ class PermGroup:
         return iter(self._elements)
 
     def __contains__(self, g: Permutation) -> bool:
-        return g in set(self._elements)
+        return g in self._index
 
     def __repr__(self) -> str:
         return f"PermGroup(degree={self._degree}, order={len(self._elements)})"
+
+
+def _check_generated(
+    elems: tuple[Permutation, ...], index: frozenset[Permutation], identity: Permutation
+) -> None:
+    """Raise ValueError unless the distinct elems, identity among them, form a group.
+
+    Generators are picked greedily: walking the list, every element not
+    yet in the closure becomes one, and the closure grows by a
+    breadth-first search over right multiplication by the generators.
+    Each product must stay inside the list.  A finite set with the
+    identity that is closed under right multiplication by its generators
+    is the group they generate, so when the closure has absorbed every
+    listed element the list is a group; inverses come for free.  This
+    costs at most |G| products per generator instead of |G|^2.
+    """
+    closure = {identity}
+    gens: list[Permutation] = []
+    for g in elems:
+        if g in closure:
+            continue
+        gens.append(g)
+        # Old closure elements only need the new generator; every new
+        # element needs them all.
+        queue = [(h, (g,)) for h in closure]
+        for h, by in queue:  # grows while it is walked
+            for s in by:
+                prod = h * s
+                if prod not in closure:
+                    if prod not in index:
+                        raise ValueError(f"group is not closed: {h!r} * {s!r} escapes")
+                    closure.add(prod)
+                    queue.append((prod, gens))
 
 
 def rotation(n: int, m: int) -> Permutation:

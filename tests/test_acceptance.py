@@ -170,6 +170,13 @@ def test_cycle_chromatic_matches_deletion_contraction(capfd):
     timed(capfd, "cycle-chromatic-closed-form", 5.0, body)
 
 
+def test_large_cycle_chromatic_matches_closed_form(capfd):
+    def body():
+        assert chromatic_polynomial(cycle_graph(1000)) == cycle_chromatic_closed(1000)
+
+    timed(capfd, "cycle-chromatic-large", 30.0, body)
+
+
 def test_alternating_totient_sums(capfd):
     def body():
         for n in range(1, 501):

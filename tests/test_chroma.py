@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orbichrom.chroma import (
@@ -43,6 +43,53 @@ from orbichrom.permgroup import (
 from orbichrom.rationalpoly import ONE, X, RationalPoly, x_minus_one_pow
 
 from conftest import multigraphs
+from dc_ref import chromatic_reference
+
+
+def _grid(rows: int, cols: int) -> Multigraph:
+    edges = []
+    for r in range(rows):
+        for c in range(cols):
+            v = r * cols + c
+            if c + 1 < cols:
+                edges.append((v, v + 1))
+            if r + 1 < rows:
+                edges.append((v, v + cols))
+    return Multigraph(rows * cols, edges)
+
+
+PETERSEN = Multigraph(
+    10,
+    [(i, (i + 1) % 5) for i in range(5)]
+    + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    + [(i, i + 5) for i in range(5)],
+)
+
+_pieces = st.one_of(
+    multigraphs(max_vertices=5, max_edges=7),
+    st.integers(min_value=1, max_value=6).map(cycle_graph),
+    st.integers(min_value=1, max_value=4).map(path_graph),
+)
+
+
+@st.composite
+def glued_multigraphs(draw):
+    """Small pieces (random multigraphs, cycles, paths), each either kept
+    apart or glued by one vertex to what came before, plus isolated
+    vertices, with the labels shuffled: components, cut vertices, loops
+    and parallel edges together."""
+    n, edges = 0, []
+    for piece in draw(st.lists(_pieces, min_size=1, max_size=4)):
+        if n and draw(st.booleans()):
+            anchor = draw(st.integers(min_value=0, max_value=n - 1))
+            label = [anchor] + list(range(n, n + piece.n - 1))
+        else:
+            label = list(range(n, n + piece.n))
+        edges += [(label[u], label[v]) for u, v in piece.edges]
+        n = max([n] + [v + 1 for v in label])
+    n += draw(st.integers(min_value=0, max_value=2))
+    shuffle = draw(st.permutations(list(range(n))))
+    return Multigraph(n, [(shuffle[u], shuffle[v]) for u, v in edges])
 
 
 class TestChromaticPolynomial:
@@ -124,6 +171,27 @@ class TestChromaticPolynomial:
             return rng.choice(h.edges)
 
         assert _chromatic_with_chooser(g, random_edge) == chromatic_polynomial(g)
+
+    @settings(max_examples=150, deadline=None)
+    @given(glued_multigraphs())
+    @example(Multigraph(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)]))  # two triangles at a vertex
+    @example(Multigraph(7, [(0, 1), (1, 2), (2, 3), (0, 3), (3, 4), (4, 5), (1, 6)]))  # square with trees
+    @example(Multigraph(4, [(0, 1), (0, 1), (2, 2)]))
+    def test_matches_plain_recursive_engine(self, g):
+        assert chromatic_polynomial(g) == chromatic_reference(g)
+
+    @pytest.mark.parametrize("g", [PETERSEN, _grid(3, 4)], ids=["petersen", "grid-3x4"])
+    def test_matches_plain_recursive_engine_on_named_graphs(self, g):
+        assert chromatic_polynomial(g) == chromatic_reference(g)
+
+    def test_long_path_closes_without_recursion(self):
+        assert chromatic_polynomial(path_graph(5000)) == X * x_minus_one_pow(4999)
+
+    def test_many_components_multiply(self):
+        triangles = Multigraph(
+            900, [(3 * i + a, 3 * i + b) for i in range(300) for a, b in ((0, 1), (0, 2), (1, 2))]
+        )
+        assert chromatic_polynomial(triangles) == (X * (X - 1) * (X - 2)) ** 300
 
     @given(multigraphs(max_vertices=6, max_edges=9))
     def test_degree_and_monic_leading_term(self, g):

@@ -10,7 +10,9 @@ from orbichrom.multigraph import (
     GraphParseError,
     Multigraph,
     ShapeDescriptor,
+    blocks,
     classify_shape,
+    components,
     contract_edge,
     contract_partition,
     cycle_graph,
@@ -83,6 +85,10 @@ class TestBuilders:
 
 
 class TestSimplify:
+    def test_simple_graph_is_returned_as_is(self):
+        g = Multigraph(3, [(0, 0), (0, 1)])
+        assert simplify(g) is g
+
     def test_collapses_parallels_keeps_one_loop(self):
         g = Multigraph(3, [(0, 1), (1, 0), (1, 1), (1, 1), (2, 2)])
         assert simplify(g) == Multigraph(3, [(0, 1), (1, 1), (2, 2)])
@@ -96,6 +102,93 @@ class TestSimplify:
     def test_edge_set_preserved(self, g):
         assert set(simplify(g).edges) == set(g.edges)
         assert simplify(g).n == g.n
+
+
+def _reachable(edges, start: int, banned: int = -1) -> set[int]:
+    seen = {start}
+    stack = [start]
+    while stack:
+        u = stack.pop()
+        for a, b in edges:
+            for x, y in ((a, b), (b, a)):
+                if x == u and y != banned and y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+    return seen
+
+
+def _edge_multiset(pieces, vertex_lists) -> Counter:
+    """The edges of relabeled pieces, mapped back through their vertex lists."""
+    out = Counter()
+    for piece, vs in zip(pieces, vertex_lists):
+        for u, v in piece.edges:
+            out[(vs[u], vs[v])] += 1
+    return out
+
+
+class TestComponents:
+    def test_known_split(self):
+        g = Multigraph(6, [(4, 5), (0, 2), (2, 2), (0, 2)])
+        assert components(g) == [
+            Multigraph(2, [(0, 1), (1, 1), (0, 1)]),
+            Multigraph(1),
+            Multigraph(1),
+            Multigraph(2, [(0, 1)]),
+        ]
+
+    def test_connected_graph_is_returned_as_is(self):
+        g = cycle_graph(5)
+        assert components(g)[0] is g
+        assert components(Multigraph(0)) == []
+
+    @given(multigraphs(max_vertices=8, max_edges=10))
+    def test_pieces_are_connected_and_cover_the_graph(self, g):
+        parts = components(g)
+        # vertex lists by the brute-force reachability of each smallest unseen vertex
+        vertex_lists, seen = [], set()
+        for v in range(g.n):
+            if v not in seen:
+                reach = _reachable(g.edges, v)
+                seen |= reach
+                vertex_lists.append(sorted(reach))
+        assert [p.n for p in parts] == [len(vs) for vs in vertex_lists]
+        assert _edge_multiset(parts, vertex_lists) == Counter(g.edges)
+
+
+class TestBlocks:
+    def test_two_triangles_sharing_a_vertex_with_a_pendant_edge(self):
+        g = Multigraph(6, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4), (4, 5)])
+        triangle = cycle_graph(3)
+        assert sorted(blocks(g), key=repr) == sorted(
+            [triangle, triangle, Multigraph(2, [(0, 1)])], key=repr
+        )
+
+    def test_loops_parallels_and_isolated_vertices(self):
+        g = Multigraph(4, [(0, 1), (0, 1), (1, 1), (1, 2)])
+        assert sorted(blocks(g), key=repr) == sorted(
+            [Multigraph(2, [(0, 1), (0, 1)]), Multigraph(1, [(0, 0)]), Multigraph(2, [(0, 1)])],
+            key=repr,
+        )
+
+    def test_a_block_is_returned_as_is(self):
+        g = cycle_graph(6)
+        assert blocks(g)[0] is g
+        assert blocks(Multigraph(3)) == []
+
+    @given(multigraphs(max_vertices=7, max_edges=10))
+    def test_blocks_partition_the_edges_and_have_no_cut_vertex(self, g):
+        found = blocks(g)
+        assert sum(b.edge_count() for b in found) == g.edge_count()
+        assert sum(len(b.loop_vertices()) for b in found) == sum(u == v for u, v in g.edges)
+        for b in found:
+            if b.n >= 3:
+                for cut in range(b.n):
+                    start = 1 if cut == 0 else 0
+                    assert len(_reachable(b.edges, start, banned=cut)) == b.n - 1
+        # Counting the block-cut tree: on a connected loopless graph,
+        # the block vertex counts exceed n by blocks - 1.
+        if not g.has_loop() and g.edge_count() and len(_reachable(g.edges, 0)) == g.n:
+            assert sum(b.n for b in found) - (len(found) - 1) == g.n
 
 
 class TestContractPartition:

@@ -1,5 +1,6 @@
 """Permutations, their cycle structure, and the cycle-graph symmetry groups."""
 
+import itertools
 import math
 
 import pytest
@@ -124,6 +125,18 @@ class TestConstructors:
             reflection_s_prime(6, 3)
 
 
+_S4 = [Permutation(p) for p in itertools.permutations(range(4))]
+
+
+def _brute_closure(gens) -> set:
+    closure = {Permutation.identity(4)} | set(gens)
+    while True:
+        grown = closure | {a * b for a in closure for b in closure}
+        if grown == closure:
+            return closure
+        closure = grown
+
+
 class TestPermGroup:
     def test_validates_group_axioms(self):
         r = rotation(3, 1)
@@ -136,6 +149,46 @@ class TestPermGroup:
         with pytest.raises(ValueError):
             PermGroup([Permutation.identity(2), Permutation.identity(3)])
         assert PermGroup([Permutation.identity(3), r, r * r]).order() == 3
+
+    def test_rejects_a_generated_set_with_an_element_left_out(self):
+        elements = list(automorphism_group(6).elements)
+        with pytest.raises(ValueError):
+            PermGroup(elements[:-1])
+        with pytest.raises(ValueError):
+            PermGroup(elements + [Permutation([1, 0, 2, 3, 4, 5])])
+
+    def test_rejects_a_set_closed_under_the_first_generator_only(self):
+        # With the transposition a and the 4-cycle b as generators, these
+        # six are closed under multiplying by a, but b * b escapes (and a
+        # 4-cycle cannot lie in a group of order 6).
+        a, b = Permutation([1, 0, 2, 3]), Permutation([1, 2, 3, 0])
+        with pytest.raises(ValueError):
+            PermGroup([Permutation.identity(4), a, b, a * b, b * a, a * b * a])
+
+    @given(
+        st.sets(st.sampled_from(_S4), min_size=1, max_size=8),
+        st.booleans(),
+        st.sets(st.sampled_from(_S4), max_size=2),
+        st.permutations(range(24)),
+    )
+    def test_accepts_exactly_the_subgroups(self, gens, close, toggled, order):
+        # Either a generated subgroup with a few elements toggled, or a
+        # random set; listed in a random order.
+        candidate = _brute_closure(gens) if close else set(gens)
+        candidate ^= toggled
+        listed = [_S4[i] for i in order if _S4[i] in candidate]
+        if not listed:
+            return
+        is_group = Permutation.identity(4) in candidate and all(
+            a * b in candidate for a in candidate for b in candidate
+        )
+        if is_group:
+            grp = PermGroup(listed)
+            assert grp.elements == tuple(listed)
+            assert all((p in grp) == (p in candidate) for p in _S4)
+        else:
+            with pytest.raises(ValueError):
+                PermGroup(listed)
 
     def test_trivial_group(self):
         g = trivial_group(5)
