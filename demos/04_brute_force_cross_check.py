@@ -1,9 +1,10 @@
 """Checking the polynomial machinery against plain enumeration.
 
-Nothing here trusts the closed forms: the oracle lists every coloring
-explicitly, groups them into orbits by applying every symmetry, and
-counts the orbits.  For small cycles this is cheap, and it must agree
-with both the averaged-quotient route and the closed formulas.
+Nothing here trusts the closed forms: the oracle lists every proper
+coloring explicitly and counts one coloring per orbit, the one that no
+symmetry maps to a lexicographically smaller coloring.  For small cycles
+this is cheap, and it must agree with both the averaged-quotient route
+and the closed formulas.
 """
 
 from fractions import Fraction

@@ -9,7 +9,6 @@ catches constructor mistakes immediately.
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Iterable, Sequence
 
 from .multigraph import Multigraph
@@ -254,13 +253,17 @@ def trivial_group(n: int) -> PermGroup:
 
 
 def is_automorphism(g: Multigraph, perm: Permutation) -> bool:
-    """True when perm maps the edge multiset of g onto itself."""
+    """True when perm maps the edge multiset of g onto itself.
+
+    g.edges is already the sorted tuple of canonical (u <= v) edges, so
+    the mapped edges, canonicalised and sorted, must equal it exactly.
+    """
     if perm.degree != g.n:
         raise ValueError(
             f"permutation degree {perm.degree} does not match vertex count {g.n}"
         )
-    mapped = Counter(
-        (perm(u), perm(v)) if perm(u) <= perm(v) else (perm(v), perm(u))
-        for u, v in g.edges
+    img = perm.images
+    mapped = sorted(
+        [(img[u], img[v]) if img[u] <= img[v] else (img[v], img[u]) for u, v in g.edges]
     )
-    return mapped == Counter(g.edges)
+    return mapped == list(g.edges)

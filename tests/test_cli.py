@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import time
 
 import pytest
 
@@ -94,6 +95,16 @@ class TestOrbitalCommand:
         code, out, _ = run(["orbital", "3", "--method", "oracle", "--lam", "3"], capsys)
         assert code == 0
         assert out.strip() == "2"
+
+    def test_oracle_enumerates_only_proper_colorings(self, capsys):
+        # 3^16 = 43 million maps, but only 65,538 proper colorings of C_16
+        start = time.perf_counter()
+        code, out, _ = run(
+            ["orbital", "16", "--method", "oracle", "--group", "rotation", "--lam", "3"], capsys
+        )
+        assert code == 0
+        assert out.strip() == "4116"
+        assert time.perf_counter() - start < 5.0
 
     def test_oracle_requires_lambda(self, capsys):
         code, _, err = run(["orbital", "3", "--method", "oracle"], capsys)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from orbichrom.chroma import chromatic_polynomial, orbital_by_definition, quotient_graph
 from orbichrom.multigraph import Multigraph, cycle_graph, path_graph
+from orbichrom.numtheory import divisors
 from orbichrom.oracle import (
     CapacityError,
     count_coloring_orbits,
@@ -19,11 +20,13 @@ from orbichrom.permgroup import (
     PermGroup,
     Permutation,
     automorphism_group,
+    reflection_s,
     rotation,
     rotation_group,
     trivial_group,
 )
 
+import oracle_ref as ref
 from conftest import multigraphs
 
 
@@ -34,6 +37,35 @@ def permutations_for(n: int):
 graph_and_perm_st = multigraphs(max_vertices=5, max_edges=8).flatmap(
     lambda g: st.tuples(st.just(g), permutations_for(g.n))
 )
+
+
+def generated(gens, n: int) -> PermGroup:
+    """The group of degree n generated by gens, closed by breadth-first search."""
+    elements = [Permutation.identity(n)]
+    index = set(elements)
+    for h in elements:  # grows while it is walked
+        for s in gens:
+            prod = h * s
+            if prod not in index:
+                index.add(prod)
+                elements.append(prod)
+    return PermGroup(elements)
+
+
+def symmetrised(g: Multigraph, group: PermGroup) -> Multigraph:
+    """The edge multiset of g summed over its images, so group acts on it."""
+    return Multigraph(g.n, [(p(u), p(v)) for p in group for u, v in g.edges])
+
+
+@st.composite
+def cycle_subgroups(draw):
+    """A cycle C_n, n <= 6, with a subgroup of its symmetry group: the
+    rotations by multiples of one divisor of n, possibly with one reflection."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    gens = [rotation(n, draw(st.sampled_from(divisors(n))) % n)]
+    if n >= 3 and draw(st.booleans()):
+        gens.append(reflection_s(n, draw(st.integers(min_value=0, max_value=n - 1))))
+    return cycle_graph(n), generated(gens, n)
 
 
 class TestProperColorings:
@@ -138,6 +170,63 @@ class TestColoringOrbits:
         bad_group = PermGroup([Permutation.identity(3), shift, shift * shift])
         with pytest.raises(ValueError):
             count_coloring_orbits(g, bad_group, 2)
+
+
+lams = st.integers(min_value=0, max_value=4)
+
+
+class TestAgainstFilteringReference:
+    """The depth-first, least-representative oracle against the old
+    filter-every-map, mark-every-orbit enumeration in tests/oracle_ref.py."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(multigraphs(max_vertices=6, max_edges=9), lams)
+    def test_proper_colorings(self, g, lam):
+        assert count_proper_colorings(g, lam) == ref.count_proper_colorings(g, lam)
+
+    @settings(max_examples=50, deadline=None)
+    @given(graph_and_perm_st, lams)
+    def test_fixed_colorings(self, graph_and_perm, lam):
+        g, perm = graph_and_perm
+        assert count_fixed_colorings(g, perm, lam) == ref.count_fixed_colorings(g, perm, lam)
+
+    @settings(max_examples=50, deadline=None)
+    @given(graph_and_perm_st, lams)
+    def test_orbits_under_a_random_cyclic_group(self, graph_and_perm, lam):
+        g, perm = graph_and_perm
+        group = generated([perm], g.n)
+        g = symmetrised(g, group)
+        assert count_coloring_orbits(g, group, lam) == ref.count_coloring_orbits(g, group, lam)
+
+    @settings(max_examples=50, deadline=None)
+    @given(cycle_subgroups(), lams)
+    def test_orbits_of_cycles_under_dihedral_subgroups(self, graph_and_group, lam):
+        g, group = graph_and_group
+        assert count_coloring_orbits(g, group, lam) == ref.count_coloring_orbits(g, group, lam)
+
+
+class TestEdgeCases:
+    @pytest.mark.parametrize("lam", [0, 3])
+    def test_empty_graph_has_one_coloring(self, lam):
+        g = Multigraph(0)
+        empty = Permutation([])
+        assert count_proper_colorings(g, lam) == 1
+        assert count_fixed_colorings(g, empty, lam) == 1
+        assert count_coloring_orbits(g, PermGroup([empty]), lam) == 1
+
+    def test_single_vertex(self):
+        g = Multigraph(1)
+        assert count_fixed_colorings(g, Permutation.identity(1), 3) == 3
+        assert count_coloring_orbits(g, trivial_group(1), 3) == 3
+
+    def test_lone_loop_gives_zero_on_every_counter(self):
+        g = Multigraph(1, [(0, 0)])
+        assert count_proper_colorings(g, 3) == 0
+        assert count_fixed_colorings(g, Permutation.identity(1), 3) == 0
+        assert count_coloring_orbits(g, trivial_group(1), 3) == 0
+
+    def test_digon_up_to_swapping_its_ends(self):
+        assert count_coloring_orbits(cycle_graph(2), automorphism_group(2), 3) == 3
 
 
 class TestCapacityGuard:

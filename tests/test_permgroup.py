@@ -2,12 +2,13 @@
 
 import itertools
 import math
+from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbichrom.multigraph import cycle_graph, path_graph
+from orbichrom.multigraph import Multigraph, cycle_graph, path_graph
 from orbichrom.permgroup import (
     PermGroup,
     Permutation,
@@ -19,6 +20,8 @@ from orbichrom.permgroup import (
     rotation_group,
     trivial_group,
 )
+
+from conftest import multigraphs
 
 permutations_st = st.integers(min_value=1, max_value=8).flatmap(
     lambda n: st.permutations(list(range(n))).map(Permutation)
@@ -242,11 +245,27 @@ class TestIsAutomorphism:
         assert is_automorphism(cycle_graph(1), Permutation.identity(1))
 
     def test_respects_multiplicity(self):
-        from orbichrom.multigraph import Multigraph
-
+        # swapping the ends maps the doubled edge 01 onto the single edge 12:
+        # the same set of distinct edges, a different multiset
         g = Multigraph(3, [(0, 1), (0, 1), (1, 2)])
         assert not is_automorphism(g, Permutation([2, 1, 0]))
         assert is_automorphism(g, Permutation([0, 1, 2]))
+
+    def test_loops(self):
+        swap_ends = Permutation([2, 1, 0])
+        assert not is_automorphism(Multigraph(3, [(0, 0), (0, 1), (1, 2)]), swap_ends)
+        assert is_automorphism(Multigraph(3, [(0, 0), (0, 1), (1, 2), (2, 2)]), swap_ends)
+        assert is_automorphism(Multigraph(3, [(0, 1), (1, 1), (1, 2)]), swap_ends)
+        assert not is_automorphism(Multigraph(3, [(0, 0), (0, 0), (2, 2)]), swap_ends)
+
+    @settings(max_examples=50)
+    @given(multigraphs(max_vertices=6, max_edges=8).flatmap(
+        lambda g: st.tuples(st.just(g), st.permutations(list(range(g.n))).map(Permutation))
+    ))
+    def test_agrees_with_edge_multiset_comparison(self, graph_and_perm):
+        g, perm = graph_and_perm
+        mapped = Counter(tuple(sorted((perm(u), perm(v)))) for u, v in g.edges)
+        assert is_automorphism(g, perm) == (mapped == Counter(g.edges))
 
     def test_degree_mismatch_rejected(self):
         with pytest.raises(ValueError):
