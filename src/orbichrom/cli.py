@@ -10,7 +10,14 @@ Subcommands:
   fermat     the little-theorem congruence check for a prime
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 graph
-parse error, 4 oracle capacity exceeded.
+parse error, 4 oracle capacity exceeded, 141 the reader closed standard
+output early (a broken pipe, as in ``orbichrom table 1 | head -1``; the
+code is the one a shell reports for a process killed by SIGPIPE, and
+nothing is written to stderr).
+
+Exact integers are printed in full, however many digits they have:
+Python's limit on int-to-str conversion is lifted while a command
+formats its output, and only then.
 """
 
 from __future__ import annotations
@@ -18,11 +25,13 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from io import StringIO
 from math import gcd
-from typing import Callable
+from typing import Callable, Iterator
 
 from .chroma import (
     chromatic_polynomial,
@@ -63,6 +72,7 @@ EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_PARSE = 3
 EXIT_CAPACITY = 4
+EXIT_BROKEN_PIPE = 141
 
 _ORACLE_N_CAP = 8  # verify keeps enumeration-backed checks desk-sized
 
@@ -104,6 +114,26 @@ def _int_poly_text(coeffs: list[int], var: str) -> str:
     return "".join(parts)
 
 
+@contextmanager
+def _exact_digits() -> Iterator[None]:
+    """Lift the int-to-str digit limit while a command formats its output.
+
+    The limit guards int() against huge untrusted text.  Output only
+    formats integers this program computed, so it is safe to lift there;
+    the previous limit is restored afterwards, also for callers that run
+    main() in-process.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):  # an interpreter without the limit
+        yield
+        return
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -112,10 +142,11 @@ def _cmd_chromatic(args: argparse.Namespace) -> int:
     with open(args.graph_file, "r", encoding="utf-8") as fh:
         g = parse_graph_text(fh.read())
     p = chromatic_polynomial(g)
-    if args.format == "json":
-        print(json.dumps(poly_to_json_dict(p)))
-    else:
-        print(format_poly(p, ascii_only=args.ascii))
+    with _exact_digits():
+        if args.format == "json":
+            print(json.dumps(poly_to_json_dict(p)))
+        else:
+            print(format_poly(p, ascii_only=args.ascii))
     return EXIT_OK
 
 
@@ -131,10 +162,11 @@ def _cmd_orbital(args: argparse.Namespace) -> int:
         if args.lam is None:
             raise ValueError("method 'oracle' needs --lam")
         count = count_coloring_orbits(cycle_graph(n), _build_group(n, args.group), args.lam)
-        if args.format == "json":
-            print(json.dumps({"n": n, "group": args.group, "lambda": args.lam, "count": count}))
-        else:
-            print(count)
+        with _exact_digits():
+            if args.format == "json":
+                print(json.dumps({"n": n, "group": args.group, "lambda": args.lam, "count": count}))
+            else:
+                print(count)
         return EXIT_OK
 
     if args.method == "closed":
@@ -142,17 +174,18 @@ def _cmd_orbital(args: argparse.Namespace) -> int:
     else:
         p = orbital_by_definition(cycle_graph(n), _build_group(n, args.group))
 
-    if args.format == "json":
-        out = {"n": n, "group": args.group, **poly_to_json_dict(p)}
-        if args.lam is not None:
-            value = p(args.lam)
-            out["lambda"] = args.lam
-            out["value"] = {"num": value.numerator, "den": value.denominator}
-        print(json.dumps(out))
-    else:
-        print(format_poly(p, ascii_only=args.ascii))
-        if args.lam is not None:
-            print(f"value at {args.lam}: {p(args.lam)}")
+    with _exact_digits():
+        if args.format == "json":
+            out = {"n": n, "group": args.group, **poly_to_json_dict(p)}
+            if args.lam is not None:
+                value = p(args.lam)
+                out["lambda"] = args.lam
+                out["value"] = {"num": value.numerator, "den": value.denominator}
+            print(json.dumps(out))
+        else:
+            print(format_poly(p, ascii_only=args.ascii))
+            if args.lam is not None:
+                print(f"value at {args.lam}: {p(args.lam)}")
     return EXIT_OK
 
 
@@ -161,21 +194,22 @@ def _cmd_table(args: argparse.Namespace) -> int:
         raise ValueError(f"--max-n must be >= 1, got {args.max_n}")
     closed = orbital_rotation_closed if args.which == 1 else orbital_full_closed
     rows = [(n, closed(n)) for n in range(1, args.max_n + 1)]
-    if args.format == "json":
-        body = [{"n": n, **poly_to_json_dict(p)} for n, p in rows]
-        print(json.dumps({"table": args.which, "rows": body}))
-    elif args.format == "csv":
-        width = max(1, max(p.degree() for _, p in rows) + 1)
-        buf = StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["n", "den"] + [f"c{i}" for i in range(width)])
-        for n, p in rows:
-            den, ints = p.to_den_coeffs()
-            writer.writerow([n, den] + ints + [0] * (width - len(ints)))
-        sys.stdout.write(buf.getvalue())
-    else:
-        for n, p in rows:
-            print(f"{n:>3}  {format_poly(p, ascii_only=args.ascii)}")
+    with _exact_digits():
+        if args.format == "json":
+            body = [{"n": n, **poly_to_json_dict(p)} for n, p in rows]
+            print(json.dumps({"table": args.which, "rows": body}))
+        elif args.format == "csv":
+            width = max(1, max(p.degree() for _, p in rows) + 1)
+            buf = StringIO()
+            writer = csv.writer(buf, lineterminator="\n")
+            writer.writerow(["n", "den"] + [f"c{i}" for i in range(width)])
+            for n, p in rows:
+                den, ints = p.to_den_coeffs()
+                writer.writerow([n, den] + ints + [0] * (width - len(ints)))
+            sys.stdout.write(buf.getvalue())
+        else:
+            for n, p in rows:
+                print(f"{n:>3}  {format_poly(p, ascii_only=args.ascii)}")
     return EXIT_OK
 
 
@@ -188,9 +222,10 @@ def _cmd_fermat(args: argparse.Namespace) -> int:
         return EXIT_USAGE
     if args.verbose:
         op = orbital_rotation_closed(p)
-        for k in range(args.max_lambda + 1):
-            residue = ((k - 1) ** p - (k - 1)) % p
-            print(f"lambda={k}: residue {residue} (mod {p}), orbit value {op(k)}")
+        with _exact_digits():
+            for k in range(args.max_lambda + 1):
+                residue = ((k - 1) ** p - (k - 1)) % p
+                print(f"lambda={k}: residue {residue} (mod {p}), orbit value {op(k)}")
     ok = fermat_check(p, args.max_lambda)
     print(f"fermat p={p} lambda<= {args.max_lambda}: {'PASS' if ok else 'FAIL'}")
     return EXIT_OK if ok else EXIT_VERIFY_FAILED
@@ -387,7 +422,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that left early shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader is gone.  Send what is left to the null device, so
+        # that the flush at interpreter exit stays quiet too.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except GraphParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -4,6 +4,14 @@ Vertices are always 0..n-1.  The edge multiset is kept as a sorted tuple
 of (u, v) pairs with u <= v, so two graphs compare equal exactly when
 they have the same vertex count and the same edge multiset.
 
+Only outside input is validated: the public ``Multigraph(...)``
+constructor checks and canonicalises every edge it is given.  A graph
+derived inside the package from a graph that is already valid (a
+simplification, a deletion, a contraction, a component or a block) is
+built through the private ``_from_canonical``, which stores an edge
+tuple the caller has already canonicalised and sorted, and checks
+nothing.
+
 Besides the data type this module provides the constructions the rest of
 the package builds on: cycle graphs, parallel-edge collapse, partition
 contraction, single-edge deletion/contraction, the split into connected
@@ -90,6 +98,18 @@ class Multigraph:
         return f"Multigraph({self._n}, {list(self._edges)!r})"
 
 
+def _from_canonical(n: int, edges: tuple[Edge, ...]) -> Multigraph:
+    """The trusted constructor: a graph on 0..n-1 with exactly these edges.
+
+    edges must already be a sorted tuple of (u, v) pairs with
+    0 <= u <= v < n; nothing is checked, canonicalised or sorted.
+    """
+    g = object.__new__(Multigraph)
+    g._n = n
+    g._edges = edges
+    return g
+
+
 @dataclass(frozen=True)
 class ShapeDescriptor:
     """Isomorphism-level classification of a small graph.
@@ -152,7 +172,7 @@ def simplify(g: Multigraph) -> Multigraph:
     distinct = set(g.edges)
     if len(distinct) == len(g.edges):
         return g
-    return Multigraph(g.n, sorted(distinct))
+    return _from_canonical(g.n, tuple(sorted(distinct)))
 
 
 def contract_partition(g: Multigraph, blocks: Iterable[Iterable[int]]) -> Multigraph:
@@ -166,18 +186,24 @@ def contract_partition(g: Multigraph, blocks: Iterable[Iterable[int]]) -> Multig
     if any(not b for b in blocks):
         raise ValueError("partition blocks must be non-empty")
     blocks.sort(key=lambda b: b[0])
+    n = g.n
     label: dict[int, int] = {}
     for i, block in enumerate(blocks):
         for v in block:
-            if not (0 <= v < g.n):
-                raise ValueError(f"partition mentions vertex {v} outside 0..{g.n - 1}")
+            if not (0 <= v < n):
+                raise ValueError(f"partition mentions vertex {v} outside 0..{n - 1}")
             if v in label:
                 raise ValueError(f"vertex {v} appears in more than one block")
             label[v] = i
-    if len(label) != g.n:
-        missing = sorted(set(range(g.n)) - set(label))
+    if len(label) != n:
+        missing = sorted(set(range(n)) - set(label))
         raise ValueError(f"partition does not cover vertices {missing}")
-    return Multigraph(len(blocks), [(label[u], label[v]) for u, v in g.edges])
+    edges = []
+    for u, v in g.edges:
+        a, b = label[u], label[v]
+        edges.append((a, b) if a <= b else (b, a))
+    edges.sort()
+    return _from_canonical(len(blocks), tuple(edges))
 
 
 def delete_edge(g: Multigraph, e: Sequence[int]) -> Multigraph:
@@ -189,7 +215,7 @@ def delete_edge(g: Multigraph, e: Sequence[int]) -> Multigraph:
         edges.remove(key)
     except ValueError:
         raise ValueError(f"edge {key} not present in {g!r}") from None
-    return Multigraph(g.n, edges)
+    return _from_canonical(g.n, tuple(edges))
 
 
 def contract_edge(g: Multigraph, e: Sequence[int]) -> Multigraph:
@@ -205,15 +231,19 @@ def contract_edge(g: Multigraph, e: Sequence[int]) -> Multigraph:
     key: Edge = (u, v) if u <= v else (v, u)
     if key not in g.edges:
         raise ValueError(f"edge {key} not present in {g!r}")
-    remaining = [f for f in g.edges if f != key]
+    remaining = tuple(f for f in g.edges if f != key)
     blocks = [[key[0], key[1]]] + [[w] for w in range(g.n) if w not in key]
-    return contract_partition(Multigraph(g.n, remaining), blocks)
+    return contract_partition(_from_canonical(g.n, remaining), blocks)
 
 
 def _relabel(vertices: Sequence[int], edges: Iterable[Edge]) -> Multigraph:
-    """The subgraph on the given ascending vertices, relabeled 0..k-1 in order."""
+    """The subgraph on the given ascending vertices, relabeled 0..k-1 in order.
+
+    edges are canonical pairs among those vertices; the relabelling is
+    monotone, so each stays canonical and only their order is restored.
+    """
     label = {v: i for i, v in enumerate(vertices)}
-    return Multigraph(len(vertices), [(label[u], label[v]) for u, v in edges])
+    return _from_canonical(len(vertices), tuple(sorted([(label[u], label[v]) for u, v in edges])))
 
 
 def components(g: Multigraph) -> list[Multigraph]:

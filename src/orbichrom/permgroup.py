@@ -5,6 +5,11 @@ most 2n elements and the orbit-averaging definition iterates over all of
 them anyway.  Construction verifies the group axioms outright, from a
 few generators picked out of the list, which is cheap at this scale and
 catches constructor mistakes immediately.
+
+Only outside input is checked to be a bijection: ``Permutation(...)``
+and ``from_text``.  Products, and the rotations and reflections once
+their arguments are checked, are bijections by construction and are
+built through the private ``_from_images``, which checks nothing.
 """
 
 from __future__ import annotations
@@ -56,7 +61,8 @@ class Permutation:
         """self after other: (self * other)(v) = self(other(v))."""
         if self.degree != other.degree:
             raise ValueError("cannot compose permutations of different degrees")
-        return Permutation([self._images[other._images[v]] for v in range(self.degree)])
+        mine = self._images
+        return _from_images(tuple([mine[v] for v in other._images]))
 
     __mul__ = compose
 
@@ -110,6 +116,13 @@ class Permutation:
 
     def to_text(self) -> str:
         return " ".join(str(v) for v in self._images)
+
+
+def _from_images(images: tuple[int, ...]) -> Permutation:
+    """The trusted constructor: images must be a tuple that is a bijection of 0..n-1."""
+    p = object.__new__(Permutation)
+    p._images = images
+    return p
 
 
 class PermGroup:
@@ -193,13 +206,13 @@ def _check_generated(
 def rotation(n: int, m: int) -> Permutation:
     """v -> (v + m) mod n."""
     _check_shift(n, m)
-    return Permutation([(v + m) % n for v in range(n)])
+    return _from_images(tuple([(v + m) % n for v in range(n)]))
 
 
 def reflection_s(n: int, m: int) -> Permutation:
     """v -> (2m - v) mod n, the mirror fixing vertex m."""
     _check_shift(n, m)
-    return Permutation([(2 * m - v) % n for v in range(n)])
+    return _from_images(tuple([(2 * m - v) % n for v in range(n)]))
 
 
 def reflection_s_prime(n: int, m: int) -> Permutation:
@@ -208,7 +221,7 @@ def reflection_s_prime(n: int, m: int) -> Permutation:
         raise ValueError(f"edge reflections exist only for even n >= 2, got n={n}")
     if not 0 <= m < n // 2:
         raise ValueError(f"edge reflection index must satisfy 0 <= m < n/2, got m={m}")
-    return Permutation([(2 * m + 1 - v) % n for v in range(n)])
+    return _from_images(tuple([(2 * m + 1 - v) % n for v in range(n)]))
 
 
 def _check_shift(n: int, m: int) -> None:

@@ -3,12 +3,17 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+from orbichrom import cli
 from orbichrom.chroma import chromatic_polynomial, orbital_full_closed, orbital_rotation_closed
-from orbichrom.cli import format_poly, main
+from orbichrom.cli import EXIT_BROKEN_PIPE, format_poly, main
 from orbichrom.multigraph import cycle_graph, graph_to_text
 from orbichrom.rationalpoly import ZERO, RationalPoly, poly_from_json_dict
 
@@ -252,3 +257,36 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as info:
             main([])
         assert info.value.code == 2
+
+
+class TestOutputEdges:
+    def test_reader_closing_early_is_a_quiet_exit(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "orbichrom.cli", "table", "1", "--max-n", "300"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+        )
+        # The table is megabytes long, far more than a pipe buffers.
+        assert proc.stdout.readline().split() == [b"1", b"0"]
+        proc.stdout.close()
+        code = proc.wait(timeout=60)
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert code == EXIT_BROKEN_PIPE == 141
+        assert err == b""
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_integers_past_the_digit_limit_print_exactly(self, fmt, square_file, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "chromatic_polynomial", lambda g: RationalPoly([10**5000, 1]))
+        limit = sys.get_int_max_str_digits()
+        assert 0 < limit < 5000
+        code, out, err = run(["chromatic", square_file, "--format", fmt, "--ascii"], capsys)
+        big = "1" + "0" * 5000
+        assert code == 0 and err == ""
+        if fmt == "json":
+            assert out == '{"den": 1, "coeffs": [' + big + ", 1]}\n"
+        else:
+            assert out == "x + " + big + "\n"
+        assert sys.get_int_max_str_digits() == limit

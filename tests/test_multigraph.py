@@ -3,7 +3,7 @@
 from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbichrom.multigraph import (
@@ -220,13 +220,13 @@ class TestContractPartition:
 
     def test_rejects_bad_partitions(self):
         g = cycle_graph(3)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^partition does not cover vertices \[2\]$"):
             contract_partition(g, [{0, 1}])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^vertex 1 appears in more than one block$"):
             contract_partition(g, [{0, 1}, {1, 2}])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^partition blocks must be non-empty$"):
             contract_partition(g, [{0, 1, 2}, set()])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^partition mentions vertex 3 outside 0\.\.2$"):
             contract_partition(g, [{0, 1, 2, 3}])
 
 
@@ -263,6 +263,35 @@ class TestDeleteContractEdge:
             e = plain[0]
             assert delete_edge(g, e).edge_count() == g.edge_count() - 1
             assert contract_edge(g, e).n == g.n - 1
+
+
+def _assert_canonical(h: Multigraph) -> None:
+    """h is exactly what the validating constructor builds from its edges."""
+    ref = Multigraph(h.n, h.edges)
+    assert h == ref and hash(h) == hash(ref)
+    assert type(h.edges) is tuple and h.edges == ref.edges
+    assert all(type(e) is tuple and 0 <= e[0] <= e[1] < h.n for e in h.edges)
+    assert all(type(x) is int for e in h.edges for x in e)
+
+
+class TestTrustedConstruction:
+    """Graphs derived inside the package skip validation; they must not need it."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(multigraphs(), st.data())
+    def test_derived_graphs_are_canonical(self, g, data):
+        derived = [simplify(g), *components(g), *blocks(g)]
+        for e in set(g.edges):
+            derived.append(delete_edge(g, e))
+            if e[0] != e[1]:
+                derived.append(contract_edge(g, e))
+        tags = data.draw(st.lists(st.integers(0, g.n - 1), min_size=g.n, max_size=g.n))
+        parts = [[v for v in range(g.n) if tags[v] == t] for t in sorted(set(tags))]
+        q = contract_partition(g, parts)
+        label = {v: i for i, part in enumerate(sorted(parts)) for v in part}
+        assert q == Multigraph(len(parts), [(label[u], label[v]) for u, v in g.edges])
+        for h in derived + [q]:
+            _assert_canonical(h)
 
 
 class TestClassifyShape:

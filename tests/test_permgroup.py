@@ -140,6 +140,39 @@ def _brute_closure(gens) -> set:
         closure = grown
 
 
+def _assert_trusted(p: Permutation) -> None:
+    """p is exactly what the checking constructor builds from its images."""
+    ref = Permutation(list(p.images))
+    assert p == ref and hash(p) == hash(ref) and type(p.images) is tuple
+    assert all(type(v) is int for v in p.images)
+
+
+class TestTrustedConstruction:
+    """Rotations, reflections and products skip the bijection check."""
+
+    @pytest.mark.parametrize("n", range(1, 41))
+    def test_generators_match_checked_construction(self, n):
+        perms = [rotation(n, m) for m in range(n)] + [reflection_s(n, m) for m in range(n)]
+        if n % 2 == 0:
+            perms += [reflection_s_prime(n, m) for m in range(n // 2)]
+        r, s = rotation(n, 1 % n), reflection_s(n, 0)
+        for p in perms:
+            _assert_trusted(p)
+            for q in (r, s):
+                product = p * q
+                _assert_trusted(product)
+                assert product.images == tuple(p(q(v)) for v in range(n))
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(min_value=1, max_value=40).flatmap(
+        lambda n: st.tuples(*[st.permutations(list(range(n)))] * 2)))
+    def test_compose_matches_checked_construction(self, pair):
+        a, b = (Permutation(images) for images in pair)
+        product = a.compose(b)
+        _assert_trusted(product)
+        assert product == Permutation([a(b(v)) for v in range(a.degree)])
+
+
 class TestPermGroup:
     def test_validates_group_axioms(self):
         r = rotation(3, 1)

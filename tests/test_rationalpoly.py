@@ -12,11 +12,24 @@ from orbichrom.rationalpoly import ONE, X, ZERO, RationalPoly, x_minus_one_pow
 
 from fraction_poly_ref import FractionPoly
 
-fractions_st = st.fractions(
-    min_value=-9, max_value=9, max_denominator=6
-)
+
+def bounded_fractions(bound: int, max_denominator: int):
+    """Every fraction with |value| <= bound and denominator <= max_denominator.
+
+    Drawn as a denominator q and a numerator in -bound*q..bound*q, which
+    covers the same values as st.fractions with those bounds but is far
+    cheaper to generate.
+    """
+    return st.integers(min_value=1, max_value=max_denominator).flatmap(
+        lambda q: st.integers(min_value=-bound * q, max_value=bound * q).map(
+            lambda p: Fraction(p, q)
+        )
+    )
+
+
+fractions_st = bounded_fractions(9, 6)
 polys_st = st.lists(fractions_st, min_size=0, max_size=9).map(RationalPoly)
-points_st = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+points_st = bounded_fractions(5, 4)
 
 
 class TestCanonicalForm:
