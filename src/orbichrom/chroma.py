@@ -179,11 +179,6 @@ def orbital_by_definition(g: Multigraph, group: PermGroup) -> RationalPoly:
     is the other composed with a group element.  Requires every element
     to be an automorphism of g; anything else would make the average
     meaningless, so it is rejected rather than computed.
-
-    The quotient of every element is built, but many elements give the
-    same labelled quotient (g and g^k with k prime to the order of g
-    have the same cycles), so the chromatic polynomial is computed once
-    per distinct labelled quotient and kept for the rest of the call.
     """
     if group.degree != g.n:
         raise ValueError(
@@ -192,14 +187,9 @@ def orbital_by_definition(g: Multigraph, group: PermGroup) -> RationalPoly:
     for perm in group:
         if not is_automorphism(g, perm):
             raise ValueError(f"{perm!r} is not an automorphism of {g!r}")
-    known: dict[Multigraph, RationalPoly] = {}
     total = ZERO
     for perm in group:
-        q = quotient_graph(g, perm)
-        p = known.get(q)
-        if p is None:
-            p = known[q] = chromatic_polynomial(q)
-        total = total + p
+        total = total + chromatic_polynomial(quotient_graph(g, perm))
     return total * Fraction(1, group.order())
 
 
